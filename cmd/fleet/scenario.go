@@ -8,6 +8,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -81,6 +82,26 @@ type groupSpec struct {
 	ScaleMax int `json:"scaleMax"`
 }
 
+// readSpec decodes the JSON spec file at path into v. Unknown fields
+// and trailing data are errors naming the file, so a stale or
+// misspelled key fails loudly instead of being silently ignored.
+func readSpec(kind, path string, v any) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%s %s: %w", kind, path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%s %s: trailing data after the JSON object", kind, path)
+	}
+	return nil
+}
+
 // buildGroup resolves one group spec into a fleet.WorkloadGroup.
 func buildGroup(gi int, gs groupSpec) (fleet.WorkloadGroup, error) {
 	var wg fleet.WorkloadGroup
@@ -145,13 +166,9 @@ func buildGroup(gi int, gs groupSpec) (fleet.WorkloadGroup, error) {
 // runScenario loads a JSON scenario spec, executes it, and prints the
 // per-round timeline with per-group columns plus per-group summaries.
 func runScenario(o options) error {
-	data, err := os.ReadFile(o.scenarioPath)
-	if err != nil {
-		return err
-	}
 	var spec scenarioSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return fmt.Errorf("scenario %s: %w", o.scenarioPath, err)
+	if err := readSpec("scenario", o.scenarioPath, &spec); err != nil {
+		return err
 	}
 	if spec.Machines == 0 {
 		spec.Machines = 2

@@ -10,8 +10,8 @@ import (
 )
 
 // Benchmarks for the fleet engines: one iteration simulates a 10-round
-// saturated 8-instance run (the demo shape) on each timeline, plus an
-// open-loop work-item run exercising arrival events and queueing. CI's
+// saturated 8-instance run (the demo shape), plus an open-loop
+// work-item run exercising arrival events and queueing. CI's
 // bench-smoke step records these into BENCH_fleet.json so the perf
 // trajectory of the event scheduler is tracked over time.
 
@@ -24,7 +24,7 @@ func benchProfile(b *testing.B) *calibrate.Profile {
 	return prof
 }
 
-func benchFleet(b *testing.B, prof *calibrate.Profile, tl Timeline, gen *LoadGen, rounds int) {
+func benchFleet(b *testing.B, prof *calibrate.Profile, gen *LoadGen, rounds int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -34,8 +34,7 @@ func benchFleet(b *testing.B, prof *calibrate.Profile, tl Timeline, gen *LoadGen
 			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
 			Profile:         prof,
 			Budget:          400,
-			Timeline:        tl,
-			// Pin the single-heap engine so this A/B series keeps its
+			// Pin the single-heap engine so this series keeps its
 			// historical meaning on multi-core runners; the sharded
 			// engine has its own series (BenchmarkFleetScale).
 			Workers: 1,
@@ -59,15 +58,7 @@ func benchFleet(b *testing.B, prof *calibrate.Profile, tl Timeline, gen *LoadGen
 func BenchmarkFleetEventTimeline(b *testing.B) {
 	prof := benchProfile(b)
 	b.ResetTimer()
-	benchFleet(b, prof, TimelineEvent, NewSaturatingLoad(2), 10)
-}
-
-// BenchmarkFleetQuantumTimeline is the legacy bulk-synchronous loop on
-// the same scenario, the A/B baseline for the event engine's overhead.
-func BenchmarkFleetQuantumTimeline(b *testing.B) {
-	prof := benchProfile(b)
-	b.ResetTimer()
-	benchFleet(b, prof, TimelineQuantum, NewSaturatingLoad(2), 10)
+	benchFleet(b, prof, NewSaturatingLoad(2), 10)
 }
 
 // BenchmarkFleetEventWorkItems drives Poisson work-item arrivals
@@ -76,7 +67,7 @@ func BenchmarkFleetQuantumTimeline(b *testing.B) {
 func BenchmarkFleetEventWorkItems(b *testing.B) {
 	prof := benchProfile(b)
 	b.ResetTimer()
-	benchFleet(b, prof, TimelineEvent, NewConstantLoad(3, 12).WithRequestIters(10), 10)
+	benchFleet(b, prof, NewConstantLoad(3, 12).WithRequestIters(10), 10)
 }
 
 // BenchmarkFleetScale is the hundred-host scaling benchmark: one

@@ -255,14 +255,14 @@ func (s *Supervisor) serve(now time.Time, inst *Instance, sink engineSink) error
 	if c := inst.clk.Now(); c.Before(now) {
 		// The instance idled (or sat in blackout) since its last beat:
 		// advance its view to the event time, charging idle power for
-		// exactly the gap — no quantum-boundary idle fill.
+		// exactly the gap.
 		inst.view.Idle(now.Sub(c))
 	}
 	if inst.sess == nil {
 		if len(inst.queue) == 0 {
 			if inst.selfFeed {
 				// Self-feed mints run on the event loop (or its shard),
-				// so (unlike quantum mode) they can be traced.
+				// so they are traced at their exact instant.
 				req := inst.takeRequest()
 				req.ID, req.Group, req.StreamIdx, req.Iters, req.Arrival = -1, inst.grp.index, inst.feedIdx, inst.reqIters, inst.clk.Now()
 				inst.queue = append(inst.queue, req)

@@ -319,14 +319,10 @@ type Resilience struct {
 
 // SetFaults wires a fault model into the fleet before the first step —
 // the programmatic form of Scenario.Faults, usable with supervisors
-// built from the single-group Config shim. Faults are an event-timeline
-// feature; quantum mode rejects them.
+// built from the single-group Config shim.
 func (s *Supervisor) SetFaults(opts FaultOptions) error {
 	if opts.Model == nil {
 		return errors.New("fleet: FaultOptions requires a Model")
-	}
-	if !s.eventMode() {
-		return errors.New("fleet: faults require the event timeline (TimelineEvent)")
 	}
 	if s.round != 0 {
 		return fmt.Errorf("fleet: SetFaults requires an unstepped supervisor (already at round %d)", s.round)

@@ -51,8 +51,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestSetFaultsValidation pins the wiring contract: a model is
-// required, quantum mode rejects faults, and wiring after the first
-// step is an error.
+// required, and wiring after the first step is an error.
 func TestSetFaultsValidation(t *testing.T) {
 	sup := newTestFleet(t, 1, 1, 0)
 	if err := sup.SetFaults(FaultOptions{}); err == nil {
@@ -64,20 +63,6 @@ func TestSetFaultsValidation(t *testing.T) {
 	}
 	if err := sup.SetFaults(FaultOptions{Model: FaultSchedule{}}); err == nil {
 		t.Error("SetFaults accepted a stepped supervisor")
-	}
-
-	q, err := New(Config{
-		Machines:        1,
-		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
-		Timeline:        TimelineQuantum,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.SetFaults(FaultOptions{Model: FaultSchedule{}}); err == nil {
-		t.Error("SetFaults accepted the quantum timeline")
 	}
 }
 

@@ -162,7 +162,9 @@ func TestStartAtLandsMidQuantum(t *testing.T) {
 // TestEventPlacementDeterministic runs a scenario exercising every
 // scheduled placement kind — StartAt, MigrateAt, DrainAt, StopAt — at
 // mid-quantum instants under spiky load with a mid-quantum cap, twice,
-// and requires bit-identical rounds, reports, and traces.
+// and requires bit-identical rounds, reports, and traces. The drained
+// instance must have retired by the run's end, and no latency may be
+// negative after the scheduled start.
 func TestEventPlacementDeterministic(t *testing.T) {
 	run := func() ([]RoundStats, Report, []TraceEvent) {
 		sup, err := New(Config{
@@ -192,6 +194,9 @@ func TestEventPlacementDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if !insts[0].Retired() {
+			t.Error("drained instance not retired by run end")
+		}
 		return sup.rounds, sup.Report(), sup.Trace()
 	}
 	r1, rep1, tr1 := run()
@@ -205,6 +210,7 @@ func TestEventPlacementDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(tr1, tr2) {
 		t.Fatal("two identically seeded placement-event traces diverged")
 	}
+	checkLatenciesNonNegative(t, rep1)
 	// The migration landed at its exact mid-quantum instant.
 	wantMigrate := time.Unix(5, 0).Add(700 * time.Millisecond)
 	var migrateSeen bool
@@ -244,53 +250,57 @@ func TestMigrateAtRecoversTarget(t *testing.T) {
 	}
 }
 
-// TestPlacementQuantumCompat keeps the legacy timeline honest: scheduled
-// placements degrade to the first quantum boundary at or after their
-// instant.
-func TestPlacementQuantumCompat(t *testing.T) {
+// TestPastDueStartLandsAtRoundStart schedules a start at an instant the
+// fleet has already simulated past. The start lands at the next round's
+// start, and the instance's clock must catch up to fleet time before it
+// serves: a clock left trailing would book negative request latencies.
+func TestPastDueStartLandsAtRoundStart(t *testing.T) {
 	sup, err := New(Config{
-		Machines:        2,
+		Machines:        1,
 		CoresPerMachine: 2,
 		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
 		Profile:         syntheticProfile(t),
-		Timeline:        TimelineQuantum,
 		RecordTrace:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	startN(t, sup, 2)
-	inst, err := sup.StartAt(time.Unix(0, 0).Add(300*time.Millisecond), -1)
+	startN(t, sup, 1)
+	gen := NewConstantLoad(5, 4).WithRequestIters(10)
+	if err := sup.Run(gen, 2); err != nil {
+		t.Fatal(err)
+	}
+	landing := sup.Now()
+	inst, err := sup.StartAt(landing.Add(-1500*time.Millisecond), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.DrainAt(time.Unix(1, 0).Add(200*time.Millisecond), inst)
-	if err := sup.Run(NewConstantLoad(9, 2), 4); err != nil {
+	sup.Drain(sup.Instances()[0])
+	if err := sup.Run(gen, 4); err != nil {
 		t.Fatal(err)
 	}
-	var startAt, drainAt time.Time
+	var startAt time.Time
 	for _, ev := range sup.Trace() {
-		switch {
-		case ev.Kind == TraceStart && ev.Instance == inst.ID():
+		if ev.Kind == TraceStart && ev.Instance == inst.ID() {
 			startAt = ev.At
-		case ev.Kind == TraceDrain && ev.Instance == inst.ID():
-			drainAt = ev.At
 		}
 	}
-	if want := time.Unix(1, 0); !startAt.Equal(want) {
-		t.Errorf("quantum-mode start landed at %v, want boundary %v", startAt, want)
+	if !startAt.Equal(landing) {
+		t.Fatalf("past-due start landed at %v, want the round start %v", startAt, landing)
 	}
-	if want := time.Unix(2, 0); !drainAt.Equal(want) {
-		t.Errorf("quantum-mode drain landed at %v, want boundary %v", drainAt, want)
+	if len(inst.allLats) == 0 {
+		t.Fatal("late-started instance served nothing; the latency check would be vacuous")
 	}
-	if !inst.Retired() {
-		t.Error("drained instance not retired by run end")
-	}
-	// The boundary degrade must advance the instance's clock to the
-	// landing: a trailing clock would book negative request latencies.
-	rep := sup.Report()
-	if rep.MeanLatency < 0 {
-		t.Errorf("mean latency %.3f s negative: a landed instance's clock trailed fleet time", rep.MeanLatency)
+	checkLatenciesNonNegative(t, sup.Report())
+}
+
+// checkLatenciesNonNegative fails the test if the report's fleet mean,
+// p50 or p95 latency, or any instance's p50 or p95, is negative.
+func checkLatenciesNonNegative(t *testing.T, rep Report) {
+	t.Helper()
+	if rep.MeanLatency < 0 || rep.P50Latency < 0 || rep.P95Latency < 0 {
+		t.Errorf("fleet latency negative (mean %.3f, p50 %.3f, p95 %.3f): a landed instance's clock trailed fleet time",
+			rep.MeanLatency, rep.P50Latency, rep.P95Latency)
 	}
 	for _, il := range rep.PerInstance {
 		if il.P50 < 0 || il.P95 < 0 {

@@ -95,8 +95,6 @@ type Scenario struct {
 	// MigrationDowntime is the blackout an instance suffers when moved
 	// between machines (default 100ms).
 	MigrationDowntime time.Duration
-	// Timeline selects the engine (default TimelineEvent).
-	Timeline Timeline
 	// Workers bounds the event timeline's shard worker pool (see
 	// Config.Workers; results are bit-identical at every value).
 	Workers int
@@ -122,7 +120,6 @@ type Scenario struct {
 	// longer influence routing within it), so it is opt-in; results are
 	// bit-identical at every Workers value because epoch mode always
 	// runs the sharded engine, whose windows are Workers-invariant.
-	// Event timeline only.
 	EpochDispatch bool
 	// Fluid enables the hybrid fluid/discrete engine: an instance whose
 	// queue reaches this depth stops simulating per-beat events and
@@ -131,14 +128,14 @@ type Scenario struct {
 	// (arbiter state changes, placement and fault landings, round
 	// closes) and when its queue shallows again. 0 (the default)
 	// disables — every request simulates discretely, bit-identical to
-	// the reference engines. Event timeline only.
+	// the reference engines.
 	Fluid int
 	// RecordTrace collects the event-time trace (Supervisor.Trace).
 	RecordTrace bool
 	// Faults wires a fault & degradation model into the fleet: seeded
 	// crash/rack-outage/throttle/straggler/sag events landing on the
 	// event timeline, with Report.Resilience accounting (fault.go).
-	// Event-timeline only; nil injects nothing.
+	// nil injects nothing.
 	Faults *FaultOptions
 }
 
@@ -252,7 +249,7 @@ func NewScenario(sc Scenario) (*Supervisor, error) {
 	epoch := epochTime()
 	for i := 0; i < sc.Machines; i++ {
 		h := &Host{sup: s, index: i, cores: sc.CoresPerMachine, segStart: epoch}
-		if sc.Timeline == TimelineEvent && (sc.Workers > 1 || sc.EpochDispatch) {
+		if sc.Workers > 1 || sc.EpochDispatch {
 			h.shard = &shard{sup: s, host: h}
 		}
 		s.hosts = append(s.hosts, h)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -328,42 +329,47 @@ func TestPressureShareDegradesHeterogeneousColocation(t *testing.T) {
 	}
 }
 
-// TestScenarioQuantumMode runs a heterogeneous scenario on the legacy
-// bulk-synchronous timeline: per-group load delivery and attribution
-// must work there too, and group totals must sum to the fleet's.
-func TestScenarioQuantumMode(t *testing.T) {
-	sup, err := NewScenario(Scenario{
-		Machines:        2,
-		CoresPerMachine: 2,
-		Timeline:        TimelineQuantum,
-		Groups: []WorkloadGroup{
-			{Name: "fast", NewApp: newFastApp, Profile: fastSyntheticProfile(t),
-				Instances: 2, Load: NewConstantLoad(3, 4).WithRequestIters(10)},
-			{Name: "slow", NewApp: newSlowApp, Profile: syntheticProfile(t),
-				Instances: 2, Load: NewConstantLoad(4, 2).WithRequestIters(10)},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.Run(nil, 8); err != nil {
-		t.Fatal(err)
-	}
-	for _, rs := range sup.rounds {
-		var arr, comp, queue int
-		for _, gs := range rs.Groups {
-			arr += gs.Arrivals
-			comp += gs.Completions
-			queue += gs.QueueDepth
-		}
-		if arr != rs.Arrivals || comp != rs.Completions || queue != rs.QueueDepth {
-			t.Fatalf("round %d group sums (arr %d comp %d queue %d) != totals (%d %d %d)",
-				rs.Round, arr, comp, queue, rs.Arrivals, rs.Completions, rs.QueueDepth)
-		}
-	}
-	rep := sup.Report()
-	if rep.PerGroup[0].Completions == 0 || rep.PerGroup[1].Completions == 0 {
-		t.Fatalf("both groups must complete work in quantum mode: %+v", rep.PerGroup)
+// TestScenarioGroupSumsMatchTotals runs a heterogeneous scenario on
+// both event engines: per-group load delivery and attribution must
+// work on each, and every round's group arrivals, completions and
+// queue depths must sum to the fleet's totals.
+func TestScenarioGroupSumsMatchTotals(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sup, err := NewScenario(Scenario{
+				Machines:        2,
+				CoresPerMachine: 2,
+				Workers:         workers,
+				Groups: []WorkloadGroup{
+					{Name: "fast", NewApp: newFastApp, Profile: fastSyntheticProfile(t),
+						Instances: 2, Load: NewConstantLoad(3, 4).WithRequestIters(10)},
+					{Name: "slow", NewApp: newSlowApp, Profile: syntheticProfile(t),
+						Instances: 2, Load: NewConstantLoad(4, 2).WithRequestIters(10)},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sup.Run(nil, 8); err != nil {
+				t.Fatal(err)
+			}
+			for _, rs := range sup.rounds {
+				var arr, comp, queue int
+				for _, gs := range rs.Groups {
+					arr += gs.Arrivals
+					comp += gs.Completions
+					queue += gs.QueueDepth
+				}
+				if arr != rs.Arrivals || comp != rs.Completions || queue != rs.QueueDepth {
+					t.Fatalf("round %d group sums (arr %d comp %d queue %d) != totals (%d %d %d)",
+						rs.Round, arr, comp, queue, rs.Arrivals, rs.Completions, rs.QueueDepth)
+				}
+			}
+			rep := sup.Report()
+			if rep.PerGroup[0].Completions == 0 || rep.PerGroup[1].Completions == 0 {
+				t.Fatalf("both groups must complete work: %+v", rep.PerGroup)
+			}
+		})
 	}
 }
 

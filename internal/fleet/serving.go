@@ -40,12 +40,8 @@ func (s *Supervisor) Quantum() time.Duration { return s.cfg.Quantum }
 // streams (0 = a whole stream; streams cycle per group). Instants
 // inside an already-simulated round clamp to the next round's start —
 // a late arrival is folded in at the earliest instant the engine has
-// not yet passed. Returns the injected request's id. Event timeline
-// only.
+// not yet passed. Returns the injected request's id.
 func (s *Supervisor) InjectArrivalAt(at time.Time, group, iters int) (int, error) {
-	if !s.eventMode() {
-		return 0, fmt.Errorf("fleet: InjectArrivalAt requires the event timeline")
-	}
 	if group < 0 || group >= len(s.groups) {
 		return 0, fmt.Errorf("fleet: group %d out of range [0,%d]", group, len(s.groups)-1)
 	}

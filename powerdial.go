@@ -191,8 +191,7 @@ type (
 
 // Fleet types (see internal/fleet): the supervisor that runs many
 // Runtime instances across simulated machines under a shared power
-// budget, on a deterministic discrete-event timeline (or the legacy
-// bulk-synchronous quantum loop).
+// budget, on a deterministic discrete-event timeline.
 type (
 	// FleetScenario composes a fleet from named, heterogeneous workload
 	// groups sharing machines and one power budget — the primary
@@ -218,8 +217,6 @@ type (
 	FleetConfig = fleet.Config
 	// Fleet is the fleet supervisor.
 	Fleet = fleet.Supervisor
-	// FleetTimeline selects the fleet's execution engine.
-	FleetTimeline = fleet.Timeline
 	// FleetInstance is one controlled application instance.
 	FleetInstance = fleet.Instance
 	// FleetHost is one simulated machine of a fleet.
@@ -289,14 +286,6 @@ type (
 	FleetResilience = fleet.Resilience
 	// FleetReplayFaultPoint is one replay quantum's fault counters.
 	FleetReplayFaultPoint = fleet.ReplayFaultPoint
-)
-
-// Fleet timeline selectors.
-const (
-	// FleetTimelineEvent is the discrete-event scheduler (default).
-	FleetTimelineEvent = fleet.TimelineEvent
-	// FleetTimelineQuantum is the legacy bulk-synchronous loop.
-	FleetTimelineQuantum = fleet.TimelineQuantum
 )
 
 // Fault classes injectable by a fleet fault model.
