@@ -136,22 +136,6 @@ func loadFaults(path string) (*fleet.FaultOptions, error) {
 	return opts, nil
 }
 
-// applyFaults wires the -faults spec (when given) into an unstepped
-// supervisor and reports whether faults are active.
-func applyFaults(sup *fleet.Supervisor, o options) (bool, error) {
-	if o.faultsPath == "" {
-		return false, nil
-	}
-	opts, err := loadFaults(o.faultsPath)
-	if err != nil {
-		return false, err
-	}
-	if err := sup.SetFaults(*opts); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // reportResilience prints the run's fault accounting and writes the
 // per-fault CSV when -resilience is given.
 func reportResilience(res *fleet.Resilience, o options) error {

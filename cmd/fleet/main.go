@@ -24,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -188,6 +189,9 @@ func workloadFor(appName, scale string) (func() (workload.App, error), *calibrat
 }
 
 func run(o options) error {
+	if o.resiliencePath != "" && o.faultsPath == "" {
+		return errors.New("-resilience requires -faults")
+	}
 	if o.sweepPath != "" {
 		rounds := 0
 		if o.roundsSet {
@@ -217,32 +221,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	const quantum = time.Second
-	sup, err := fleet.New(fleet.Config{
-		Machines:        o.machines,
-		CoresPerMachine: o.cores,
-		NewApp:          newApp,
-		Profile:         prof,
-		Budget:          o.budget,
-		Quantum:         quantum,
-		Workers:         o.workers,
-		EpochDispatch:   o.epoch,
-		Fluid:           o.fluid,
-		RecordTrace:     o.tracePath != "",
-	})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < o.instances; i++ {
-		if _, err := sup.StartInstance(-1); err != nil {
-			return err
-		}
-	}
-	faulted, err := applyFaults(sup, o)
-	if err != nil {
-		return err
-	}
-
 	var gen *fleet.LoadGen
 	switch o.load {
 	case "saturate":
@@ -257,22 +235,16 @@ func run(o options) error {
 		return fmt.Errorf("unknown load %q (saturate | constant | ramp | spike)", o.load)
 	}
 	gen = gen.WithRequestIters(o.reqIters)
-
-	if o.dropTo != 0 {
-		// The budget change lands dropFrac of the way into round
-		// dropAt: a mid-quantum cap event on the event timeline.
-		at := time.Unix(0, 0).
-			Add(time.Duration(o.dropAt) * quantum).
-			Add(time.Duration(o.dropFrac * float64(quantum)))
-		sup.SetBudgetAt(at, o.dropTo)
+	sup, err := fleet.NewScenario(flagScenario(o, "default", newApp, prof, o.instances))
+	if err != nil {
+		return err
+	}
+	if err := prepare(sup, o); err != nil {
+		return err
 	}
 
-	chaos := ""
-	if faulted {
-		chaos = fmt.Sprintf(", faults from %s", o.faultsPath)
-	}
 	fmt.Printf("fleet: %d instances of %s on %d machines x %d cores, budget %s, %s load, event timeline%s\n",
-		o.instances, o.app, o.machines, o.cores, watts(o.budget), o.load, chaos)
+		o.instances, o.app, o.machines, o.cores, watts(o.budget), o.load, chaosNote(o))
 	fmt.Printf("target heart rate: %.1f beats/sec per instance\n\n", sup.Target().Goal())
 	fmt.Printf("%5s | %7s | %7s | %-14s | %5s | %6s | %5s | %4s | %-17s\n",
 		"round", "budget", "power W", "GHz per host", "perf", "loss %", "queue", "done", "p50/p95/p99 s")
@@ -317,20 +289,8 @@ func run(o options) error {
 		}
 	}
 
-	if o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		events := sup.Trace()
-		if err := fleet.WriteTraceCSV(f, events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d trace events to %s\n", len(events), o.tracePath)
+	if err := writeTrace(sup, o); err != nil {
+		return err
 	}
 
 	// Close the loop against the analytic oracle for the saturating case.
@@ -365,22 +325,6 @@ func runReplay(o options) error {
 		// reflect queueing at request granularity.
 		o.reqIters = 10
 	}
-	const quantum = time.Second
-	sup, err := fleet.New(fleet.Config{
-		Machines:        o.machines,
-		CoresPerMachine: o.cores,
-		NewApp:          newApp,
-		Profile:         prof,
-		Budget:          o.budget,
-		Quantum:         quantum,
-		Workers:         o.workers,
-		EpochDispatch:   o.epoch,
-		Fluid:           o.fluid,
-		RecordTrace:     o.tracePath != "",
-	})
-	if err != nil {
-		return err
-	}
 	if o.scaleMax <= 0 {
 		o.scaleMax = o.machines * o.cores
 	}
@@ -396,13 +340,11 @@ func runReplay(o options) error {
 			initial = o.scaleMax
 		}
 	}
-	for i := 0; i < initial; i++ {
-		if _, err := sup.StartInstance(-1); err != nil {
-			return err
-		}
-	}
-	faulted, err := applyFaults(sup, o)
+	sup, err := fleet.NewScenario(flagScenario(o, "default", newApp, prof, initial))
 	if err != nil {
+		return err
+	}
+	if err := prepare(sup, o); err != nil {
 		return err
 	}
 	// Service time per request follows from the per-instance target
@@ -439,19 +381,9 @@ func runReplay(o options) error {
 	} else {
 		rates = fleet.Fig8Rates(o.rounds, o.rate, o.seed)
 	}
-	if o.dropTo != 0 {
-		at := time.Unix(0, 0).
-			Add(time.Duration(o.dropAt) * quantum).
-			Add(time.Duration(o.dropFrac * float64(quantum)))
-		sup.SetBudgetAt(at, o.dropTo)
-	}
 
-	chaos := ""
-	if faulted {
-		chaos = fmt.Sprintf(", faults from %s", o.faultsPath)
-	}
 	fmt.Printf("replay: %s on %d machines x %d cores, budget %s, %d-round trace, p95 SLO %.2f s, instances [%d,%d], %d iters/request%s\n",
-		o.app, o.machines, o.cores, watts(o.budget), len(rates), o.sloP95, o.scaleMin, o.scaleMax, o.reqIters, chaos)
+		o.app, o.machines, o.cores, watts(o.budget), len(rates), o.sloP95, o.scaleMin, o.scaleMax, o.reqIters, chaosNote(o))
 	res, err := fleet.Replay(sup, fleet.ReplayConfig{
 		Rates:    rates,
 		Seed:     o.seed,
@@ -540,21 +472,87 @@ func runReplay(o options) error {
 		fmt.Printf("wrote replay figure to %s\n", o.plotPath)
 	}
 
-	if o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
+	return writeTrace(sup, o)
+}
+
+// quantum is the control quantum of every flag-driven fleet.
+const quantum = time.Second
+
+// flagScenario builds the one-group scenario the flag-driven modes run:
+// instances of newApp in the named group on -machines x -cores under
+// -budget, with the -workers, -epoch, -fluid and -trace engine flags.
+func flagScenario(o options, group string, newApp func() (workload.App, error), prof *calibrate.Profile, instances int) fleet.Scenario {
+	return fleet.Scenario{
+		Machines:        o.machines,
+		CoresPerMachine: o.cores,
+		Groups: []fleet.WorkloadGroup{{
+			Name:      group,
+			NewApp:    newApp,
+			Profile:   prof,
+			Instances: instances,
+		}},
+		Budget:        o.budget,
+		Quantum:       quantum,
+		Workers:       o.workers,
+		EpochDispatch: o.epoch,
+		Fluid:         o.fluid,
+		RecordTrace:   o.tracePath != "",
+	}
+}
+
+// prepare wires the flags every batch mode applies after construction
+// into an unstepped supervisor: the -faults spec, then the -drop-to
+// budget change.
+func prepare(sup *fleet.Supervisor, o options) error {
+	if o.faultsPath != "" {
+		opts, err := loadFaults(o.faultsPath)
 		if err != nil {
 			return err
 		}
-		events := sup.Trace()
-		if err := fleet.WriteTraceCSV(f, events); err != nil {
-			f.Close()
+		if err := sup.SetFaults(*opts); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d trace events to %s\n", len(events), o.tracePath)
 	}
+	scheduleDrop(sup, o)
+	return nil
+}
+
+// scheduleDrop lands the -drop-to budget change dropFrac of the way
+// into round dropAt: a mid-quantum cap event on the event timeline.
+func scheduleDrop(sup *fleet.Supervisor, o options) {
+	if o.dropTo == 0 {
+		return
+	}
+	at := time.Unix(0, 0).Add(time.Duration(o.dropAt)*quantum + time.Duration(o.dropFrac*float64(quantum)))
+	sup.SetBudgetAt(at, o.dropTo)
+}
+
+// chaosNote is the run header's mention of the -faults spec.
+func chaosNote(o options) string {
+	if o.faultsPath == "" {
+		return ""
+	}
+	return fmt.Sprintf(", faults from %s", o.faultsPath)
+}
+
+// writeTrace writes the event-time trace to the -trace CSV, if given.
+func writeTrace(sup *fleet.Supervisor, o options) error {
+	if o.tracePath == "" {
+		return nil
+	}
+	f, err := os.Create(o.tracePath)
+	if err != nil {
+		return err
+	}
+	events := sup.Trace()
+	if err := fleet.WriteTraceCSV(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("\nwrote %d trace events to %s\n", len(events), o.tracePath)
 	return nil
 }
 

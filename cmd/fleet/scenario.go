@@ -242,17 +242,12 @@ func runScenario(o options) error {
 			return err
 		}
 	}
-	faulted, err := applyFaults(sup, o)
-	if err != nil {
+	if err := prepare(sup, o); err != nil {
 		return err
 	}
 
-	chaos := ""
-	if faulted {
-		chaos = fmt.Sprintf(", faults from %s", o.faultsPath)
-	}
 	fmt.Printf("scenario: %d groups on %d machines x %d cores, budget %s%s\n",
-		len(sc.Groups), spec.Machines, spec.Cores, watts(budget), chaos)
+		len(sc.Groups), spec.Machines, spec.Cores, watts(budget), chaosNote(o))
 	for gi, wg := range sc.Groups {
 		auto := ""
 		if spec.Groups[gi].SLOP95 > 0 {
@@ -292,20 +287,5 @@ func runScenario(o options) error {
 		return err
 	}
 
-	if o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		events := sup.Trace()
-		if err := fleet.WriteTraceCSV(f, events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d trace events to %s\n", len(events), o.tracePath)
-	}
-	return nil
+	return writeTrace(sup, o)
 }

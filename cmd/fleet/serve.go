@@ -32,7 +32,8 @@ func runServe(o options) error {
 		// would occupy an instance for the entire run.
 		o.reqIters = 10
 	}
-	const quantum = time.Second
+	// Serving writes no event trace, so it records none.
+	o.tracePath = ""
 	rounds := int(o.duration / quantum)
 	if rounds < 1 {
 		rounds = 1
@@ -41,30 +42,11 @@ func runServe(o options) error {
 		o.scaleMax = o.machines * o.cores
 	}
 
-	scenario := func(instances int) fleet.Scenario {
-		return fleet.Scenario{
-			Machines:        o.machines,
-			CoresPerMachine: o.cores,
-			Budget:          o.budget,
-			Quantum:         quantum,
-			Groups: []fleet.WorkloadGroup{{
-				Name:      "web",
-				NewApp:    newApp,
-				Profile:   prof,
-				Instances: instances,
-			}},
-		}
-	}
-	sup, err := fleet.NewScenario(scenario(o.instances))
+	sup, err := fleet.NewScenario(flagScenario(o, "web", newApp, prof, o.instances))
 	if err != nil {
 		return err
 	}
-	if o.dropTo != 0 {
-		at := time.Unix(0, 0).
-			Add(time.Duration(o.dropAt) * quantum).
-			Add(time.Duration(o.dropFrac * float64(quantum)))
-		sup.SetBudgetAt(at, o.dropTo)
-	}
+	scheduleDrop(sup, o)
 
 	clk := clock.Real{}
 	gw := serve.NewGateway(clk, 4096)
@@ -88,7 +70,7 @@ func runServe(o options) error {
 		}
 		ts := &serve.TwinScaler{Inner: inner}
 		twin, err := serve.NewTwin(serve.TwinConfig{
-			Scenario:     func() fleet.Scenario { return scenario(0) },
+			Scenario:     func() fleet.Scenario { return flagScenario(o, "web", newApp, prof, 0) },
 			ReqIters:     o.reqIters,
 			SLO:          fleet.SLO{P95: o.sloP95},
 			MaxInstances: o.scaleMax,

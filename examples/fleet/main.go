@@ -31,23 +31,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sup, err := fleet.New(fleet.Config{
+	sup, err := fleet.NewScenario(fleet.Scenario{
 		Machines:        2,
 		CoresPerMachine: 2,
-		NewApp:          newApp,
-		Profile:         prof,
+		Groups: []fleet.WorkloadGroup{{
+			Name:      "synthetic",
+			NewApp:    newApp,
+			Profile:   prof,
+			Instances: 8,
+		}},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var insts []*fleet.Instance
-	for i := 0; i < 8; i++ {
-		inst, err := sup.StartInstance(-1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		insts = append(insts, inst)
-	}
+	insts := sup.Instances()
 	gen := fleet.NewSaturatingLoad(2)
 
 	fmt.Println("8 instances, 2 machines x 2 cores, saturating load")

@@ -142,11 +142,11 @@ func TestPlannerFeedForwardDampsOscillation(t *testing.T) {
 		}
 	}
 	run := func(planner *PlannerConfig) (*ReplayResult, int) {
-		sup, err := New(Config{
+		sup, err := NewScenario(Scenario{
 			Machines:        1,
 			CoresPerMachine: maxInst, // no multiplexing: service stays deterministic
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
+			Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+			Interference:    UniformShare{},
 			ControlDisabled: true,
 			SplitDispatch:   true, // the planner's independent-station premise
 		})
@@ -239,11 +239,11 @@ func TestAutoscalerSteadyStateMatchesMD1(t *testing.T) {
 	if !ok {
 		t.Fatalf("planner says %d instances cannot meet the SLO; test scenario is broken", maxInst)
 	}
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        1,
 		CoresPerMachine: maxInst, // no multiplexing: service stays deterministic
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		ControlDisabled: true,
 		SplitDispatch:   true,
 	})
@@ -302,11 +302,11 @@ func TestAutoscalerSteadyStateMatchesMD1(t *testing.T) {
 func TestReplayFig8Consolidation(t *testing.T) {
 	rates := Fig8Rates(90, 10, 2026)
 	run := func() *ReplayResult {
-		sup, err := New(Config{
+		sup, err := NewScenario(Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
+			Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+			Interference:    UniformShare{},
 			ControlDisabled: true,
 			RecordTrace:     true,
 		})
@@ -392,11 +392,11 @@ func TestReplaySustainedOverloadCounted(t *testing.T) {
 	for i := range rates {
 		rates[i] = 30 // vs. ~8/s capacity at 2 instances
 	}
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        1,
 		CoresPerMachine: 2,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		ControlDisabled: true,
 	})
 	if err != nil {
@@ -422,13 +422,13 @@ func TestReplaySustainedOverloadCounted(t *testing.T) {
 	// (b) Starved rounds: requests longer than the quantum mean whole
 	// rounds complete nothing while the backlog stands — those rounds
 	// cannot attest the SLO and must count as violations.
-	sup2, err := New(Config{
+	sup2, err := NewScenario(Scenario{
 		Machines:        1,
 		CoresPerMachine: 1,
-		NewApp: func() (workload.App, error) {
+		Groups: defaultGroup(func() (workload.App, error) {
 			return NewSynthetic(SyntheticOptions{ProductionIters: 200}), nil // 5 s service
-		},
-		Profile:         syntheticProfile(t),
+		}, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		ControlDisabled: true,
 	})
 	if err != nil {

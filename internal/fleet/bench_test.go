@@ -28,11 +28,11 @@ func benchFleet(b *testing.B, prof *calibrate.Profile, gen *LoadGen, rounds int)
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sup, err := New(Config{
+		sup, err := NewScenario(Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         prof,
+			Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, prof),
+			Interference:    UniformShare{},
 			Budget:          400,
 			// Pin the single-heap engine so this series keeps its
 			// historical meaning on multi-core runners; the sharded
@@ -90,11 +90,11 @@ func BenchmarkFleetScale(b *testing.B) {
 				// Fleet construction is identical for both engines and
 				// would dilute the engine ratio, so it sits outside the
 				// timer; one op is one steady-state saturated round.
-				sup, err := New(Config{
+				sup, err := NewScenario(Scenario{
 					Machines:        hosts,
 					CoresPerMachine: 1,
-					NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-					Profile:         prof,
+					Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, prof),
+					Interference:    UniformShare{},
 					Budget:          float64(hosts) * 190,
 					Workers:         workers,
 				})
@@ -140,11 +140,11 @@ func BenchmarkFleetScale(b *testing.B) {
 // per round scales with the discrete residue rather than the full
 // event count.
 func benchFluidScale(b *testing.B, prof *calibrate.Profile, hosts, workers int) {
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        hosts,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         prof,
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, prof),
+		Interference:    UniformShare{},
 		Budget:          float64(hosts) * 210, // non-binding: steady DVFS keeps flows fluid
 		Workers:         workers,
 		ControlDisabled: true,

@@ -7,7 +7,7 @@ package fleet
 // (which need global queue depths).
 // Between consecutive barriers no host can influence another, so every
 // shard advances through the window independently on a bounded worker
-// pool (Config.Workers); at each barrier the coordinator flushes shard
+// pool (Scenario.Workers); at each barrier the coordinator flushes shard
 // trace buffers in host-index order, applies the barrier's events in
 // the same kind order the single-heap engine uses, and releases the
 // next window.

@@ -27,11 +27,11 @@ func TestEventFleetMatchesMD1(t *testing.T) {
 		beatSec = 0.025
 		service = iters * beatSec // 0.5 s at 2.4 GHz baseline
 	)
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        1,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		// Open-loop baseline service: knob control would retune effort
 		// and break the deterministic-service premise of M/D/1.
 		ControlDisabled: true,
@@ -97,11 +97,11 @@ func TestEventFleetMatchesMD1(t *testing.T) {
 // the pre- and post-cap regimes.
 func TestCapEventLandsMidQuantum(t *testing.T) {
 	const budget = 360.0
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        2,
 		CoresPerMachine: 2,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		RecordTrace:     true,
 	})
 	if err != nil {
@@ -173,11 +173,11 @@ func TestCapEventLandsMidQuantum(t *testing.T) {
 // — twice and requires bit-identical rounds, reports, and traces.
 func TestEventFleetDeterministic(t *testing.T) {
 	run := func() ([]RoundStats, Report, []TraceEvent) {
-		sup, err := New(Config{
+		sup, err := NewScenario(Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
+			Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+			Interference:    UniformShare{},
 			Budget:          500,
 			RecordTrace:     true,
 		})

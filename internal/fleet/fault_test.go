@@ -102,11 +102,11 @@ func TestScheduleFaultDiscardsDegenerate(t *testing.T) {
 // with an empty fault schedule wired.
 func runNoOpFleet(t *testing.T, wire bool) (*Supervisor, Report) {
 	t.Helper()
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		Budget:          2 * 190,
 		RecordTrace:     true,
 	})
@@ -191,11 +191,11 @@ func chaosSchedule() FaultSchedule {
 // (resilience rows, replay fault columns) attached.
 func TestChaosReplay(t *testing.T) {
 	run := func() (*Supervisor, *ReplayResult) {
-		sup, err := New(Config{
+		sup, err := NewScenario(Scenario{
 			Machines:        4,
 			CoresPerMachine: 1,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
+			Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+			Interference:    UniformShare{},
 			Budget:          4 * 190,
 			ControlDisabled: true,
 			RecordTrace:     true,
@@ -299,11 +299,11 @@ func TestChaosReplay(t *testing.T) {
 // kind over a 2-host fleet — and returns the supervisor.
 func goldenFaultRun(t *testing.T, workers int) *Supervisor {
 	t.Helper()
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		Budget:          2 * 190,
 		Workers:         workers,
 		RecordTrace:     true,
@@ -367,11 +367,11 @@ func TestFaultCSVGoldens(t *testing.T) {
 // crash fault wired.
 func goldenReplayRun(t *testing.T, faults bool) *ReplayResult {
 	t.Helper()
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		ControlDisabled: true,
 	})
 	if err != nil {
@@ -464,11 +464,11 @@ func decodeFaultSchedule(data []byte) (FaultSchedule, bool) {
 // observables.
 func fuzzFleetRun(t *testing.T, fs FaultSchedule, redispatch bool, workers int) (*Supervisor, diffResult) {
 	t.Helper()
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        3,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		Budget:          3 * 190,
 		Workers:         workers,
 		RecordTrace:     true,

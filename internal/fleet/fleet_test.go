@@ -22,13 +22,19 @@ func syntheticProfile(t *testing.T) *calibrate.Profile {
 	return prof
 }
 
+// defaultGroup is the single workload group of a one-application test
+// fleet: group "default" running newApp under prof.
+func defaultGroup(newApp func() (workload.App, error), prof *calibrate.Profile) []WorkloadGroup {
+	return []WorkloadGroup{{Name: "default", NewApp: newApp, Profile: prof}}
+}
+
 func newTestFleet(t *testing.T, machines, cores int, budget float64) *Supervisor {
 	t.Helper()
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        machines,
 		CoresPerMachine: cores,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		Budget:          budget,
 	})
 	if err != nil {
@@ -419,13 +425,13 @@ func TestPoissonLargeLambda(t *testing.T) {
 // that completes without consuming virtual time must surface an error
 // instead of spinning a self-feeding instance forever.
 func TestFleetRejectsZeroCostRequests(t *testing.T) {
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        1,
 		CoresPerMachine: 1,
 		// ProductionIters < 0 yields streams that finish on their first
 		// Step without executing any work.
-		NewApp:  func() (workload.App, error) { return NewSynthetic(SyntheticOptions{ProductionIters: -1}), nil },
-		Profile: syntheticProfile(t),
+		Groups:       defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{ProductionIters: -1}), nil }, syntheticProfile(t)),
+		Interference: UniformShare{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -436,14 +442,9 @@ func TestFleetRejectsZeroCostRequests(t *testing.T) {
 	}
 }
 
-// TestFleetConfigValidation covers constructor errors.
-func TestFleetConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("want error for zero machines")
-	}
-	if _, err := New(Config{Machines: 1}); err == nil {
-		t.Error("want error for missing NewApp/Profile")
-	}
+// TestPlacementHostValidation covers out-of-range hosts in
+// StartInstance and Migrate.
+func TestPlacementHostValidation(t *testing.T) {
 	sup := newTestFleet(t, 1, 1, 0)
 	if _, err := sup.StartInstance(5); err == nil {
 		t.Error("want error for out-of-range host")

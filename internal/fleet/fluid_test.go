@@ -42,11 +42,11 @@ func TestFluidMatchesMD1(t *testing.T) {
 		beatSec = 0.025
 		service = iters * beatSec // 0.5 s at 2.4 GHz baseline
 	)
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        1,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		ControlDisabled: true,
 		Fluid:           3,
 		RecordTrace:     true,
@@ -98,11 +98,11 @@ func TestFluidMatchesMD1(t *testing.T) {
 // threshold and returns its report plus trace.
 func fluidRun(t *testing.T, fluid int, lambda float64, rounds int) (Report, []TraceEvent) {
 	t.Helper()
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		ControlDisabled: true,
 		Fluid:           fluid,
 		RecordTrace:     true,
@@ -153,11 +153,11 @@ func TestFluidCloseToDiscrete(t *testing.T) {
 func runFluidDiff(t *testing.T, workers int) diffResult {
 	t.Helper()
 	const machines = 8
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        machines,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		Budget:          machines * 190,
 		Workers:         workers,
 		Fluid:           4,
@@ -223,11 +223,11 @@ func FuzzFluidConservation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fluid, load, seed uint8) {
 		lambda := 1 + float64(load%64)
 		run := func(workers int) (*Supervisor, diffResult) {
-			sup, err := New(Config{
+			sup, err := NewScenario(Scenario{
 				Machines:        3,
 				CoresPerMachine: 1,
-				NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-				Profile:         syntheticProfile(t),
+				Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+				Interference:    UniformShare{},
 				Budget:          3 * 190,
 				Workers:         workers,
 				Fluid:           int(fluid),

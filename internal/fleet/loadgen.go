@@ -19,8 +19,8 @@ import (
 type Request struct {
 	ID int
 	// Group is the index of the workload group the request belongs to:
-	// requests dispatch only within their group (0 for fleets built
-	// from the single-group Config shim). The supervisor stamps it when
+	// requests dispatch only within their group (0 in a one-group
+	// scenario). The supervisor stamps it when
 	// the request enters the fleet.
 	Group int
 	// StreamIdx selects which production stream of the serving instance's

@@ -29,11 +29,11 @@ func TestDrainEventLandsMidQuantum(t *testing.T) {
 	if 2*floor <= budget {
 		t.Fatalf("test premise broken: floor %.0f W per host no longer pins both under %.0f W", floor, budget)
 	}
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		Budget:          budget,
 		RecordTrace:     true,
 	})
@@ -108,11 +108,11 @@ func TestDrainEventLandsMidQuantum(t *testing.T) {
 // joins the fleet at that exact instant and immediately absorbs the
 // backlog that accumulated while no instance accepted work.
 func TestStartAtLandsMidQuantum(t *testing.T) {
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        1,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		ControlDisabled: true,
 		RecordTrace:     true,
 	})
@@ -167,11 +167,11 @@ func TestStartAtLandsMidQuantum(t *testing.T) {
 // negative after the scheduled start.
 func TestEventPlacementDeterministic(t *testing.T) {
 	run := func() ([]RoundStats, Report, []TraceEvent) {
-		sup, err := New(Config{
+		sup, err := NewScenario(Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
+			Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+			Interference:    UniformShare{},
 			Budget:          500,
 			RecordTrace:     true,
 		})
@@ -255,11 +255,11 @@ func TestMigrateAtRecoversTarget(t *testing.T) {
 // start, and the instance's clock must catch up to fleet time before it
 // serves: a clock left trailing would book negative request latencies.
 func TestPastDueStartLandsAtRoundStart(t *testing.T) {
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        1,
 		CoresPerMachine: 2,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		RecordTrace:     true,
 	})
 	if err != nil {

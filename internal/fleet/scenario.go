@@ -7,9 +7,8 @@ package fleet
 // differently to the same cap; Scenario is how that mix is expressed —
 // each WorkloadGroup carries its own app factory, calibrated profile,
 // heart-rate target, arrival stream, and SLO, and co-residency between
-// groups flows through the pluggable Interference model. The original
-// single-factory Config survives as a one-group compatibility shim
-// built on this path (New).
+// groups flows through the pluggable Interference model. A
+// single-application fleet is a one-group Scenario.
 
 import (
 	"fmt"
@@ -70,8 +69,8 @@ type WorkloadGroup struct {
 }
 
 // Scenario composes a fleet from named workload groups sharing machines
-// and one cluster-wide power budget. It is the primary construction
-// surface; Config is the single-group compatibility shim.
+// and one cluster-wide power budget. It is the fleet's only
+// construction surface (NewScenario).
 type Scenario struct {
 	// Machines is the simulated machine count (required, >= 1).
 	Machines int
@@ -95,8 +94,18 @@ type Scenario struct {
 	// MigrationDowntime is the blackout an instance suffers when moved
 	// between machines (default 100ms).
 	MigrationDowntime time.Duration
-	// Workers bounds the event timeline's shard worker pool (see
-	// Config.Workers; results are bit-identical at every value).
+	// Workers bounds the event timeline's shard worker pool. 0 defaults
+	// to GOMAXPROCS. 1 selects the single-heap reference engine (one
+	// global event queue, strictly sequential). Any larger value
+	// selects the sharded engine: each host owns its own event queue
+	// and advances independently between global synchronization
+	// barriers, with up to Workers shards executing concurrently. The
+	// two engines — and every Workers value — are bit-identical for a
+	// fixed seed (see docs/ARCHITECTURE.md for the determinism
+	// argument); Workers only changes wall-clock speed. The single
+	// exception is trace ROW ORDER (RecordTrace): both engines emit
+	// the same events, deterministically, but simultaneous events of
+	// different hosts interleave in engine-specific order.
 	Workers int
 	// ArbiterInterval is the arbiter tick period on the event timeline
 	// (default Quantum).
@@ -130,7 +139,9 @@ type Scenario struct {
 	// disables — every request simulates discretely, bit-identical to
 	// the reference engines.
 	Fluid int
-	// RecordTrace collects the event-time trace (Supervisor.Trace).
+	// RecordTrace collects the event-time trace (Supervisor.Trace):
+	// arrivals, completions, cap changes, arbiter ticks, host state
+	// transitions, placement. Off by default; traces grow with load.
 	RecordTrace bool
 	// Faults wires a fault & degradation model into the fleet: seeded
 	// crash/rack-outage/throttle/straggler/sag events landing on the
@@ -183,7 +194,7 @@ type group struct {
 // least-loaded machines (groups in declaration order). Drive it with
 // Step(nil)/Run(nil, n): every group's own Load generator feeds its
 // instances; a non-nil generator passed to Step overrides group 0's
-// stream (the single-group compatibility path).
+// stream for that round.
 func NewScenario(sc Scenario) (*Supervisor, error) {
 	if sc.Machines < 1 {
 		return nil, fmt.Errorf("fleet: Machines %d < 1", sc.Machines)
@@ -331,8 +342,7 @@ func resolveGroup(index int, wg WorkloadGroup) (*group, error) {
 	return g, nil
 }
 
-// GroupNames returns the scenario's group names in declaration order
-// (a single-group shim reports its one group, named "default").
+// GroupNames returns the scenario's group names in declaration order.
 func (s *Supervisor) GroupNames() []string {
 	out := make([]string, len(s.groups))
 	for i, g := range s.groups {

@@ -320,7 +320,7 @@ func TestPressureShareDegradesHeterogeneousColocation(t *testing.T) {
 
 	// Homogeneous co-location: the pressure default must reproduce the
 	// uniform reference bit for bit (same-group residents exert no
-	// cross-pressure), which is what keeps the Config shim and every
+	// cross-pressure), which is what keeps one-group fleets and every
 	// oracle validation exact.
 	uniHomo := run(UniformShare{}, false)
 	pressHomo := run(nil, false)
@@ -425,8 +425,8 @@ func TestGroupSLOAttachesAutoscaler(t *testing.T) {
 	}
 }
 
-// TestScenarioValidation covers constructor errors and the legacy
-// shim's mapping.
+// TestScenarioValidation covers constructor errors and the group
+// naming of a one-group fleet.
 func TestScenarioValidation(t *testing.T) {
 	prof := syntheticProfile(t)
 	good := WorkloadGroup{Name: "g", NewApp: newSlowApp, Profile: prof}
@@ -438,6 +438,9 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := NewScenario(Scenario{Machines: 1, Groups: []WorkloadGroup{{Name: "g", NewApp: newSlowApp}}}); err == nil {
 		t.Error("want error for missing profile")
+	}
+	if _, err := NewScenario(Scenario{Machines: 1, Groups: []WorkloadGroup{{Name: "g", Profile: prof}}}); err == nil {
+		t.Error("want error for missing NewApp")
 	}
 	if _, err := NewScenario(Scenario{Machines: 1, Groups: []WorkloadGroup{good, good}}); err == nil {
 		t.Error("want error for duplicate group names")
@@ -459,19 +462,20 @@ func TestScenarioValidation(t *testing.T) {
 		t.Error("want error autoscaling an unknown group")
 	}
 
-	// The shim: one group named "default", same target resolution.
-	shim := newTestFleet(t, 1, 1, 0)
-	if names := shim.GroupNames(); len(names) != 1 || names[0] != "default" {
-		t.Errorf("shim group names = %v, want [default]", names)
+	// A one-group fleet: its group named "default", same target
+	// resolution.
+	one := newTestFleet(t, 1, 1, 0)
+	if names := one.GroupNames(); len(names) != 1 || names[0] != "default" {
+		t.Errorf("one-group fleet group names = %v, want [default]", names)
 	}
-	if shim.GroupIndex("default") != 0 || shim.GroupIndex("nope") != -1 {
+	if one.GroupIndex("default") != 0 || one.GroupIndex("nope") != -1 {
 		t.Error("GroupIndex lookup broken")
 	}
-	inst, err := shim.StartInstance(-1)
+	inst, err := one.StartInstance(-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inst.Group() != "default" || inst.GroupIndex() != 0 {
-		t.Errorf("shim instance group = %q/%d, want default/0", inst.Group(), inst.GroupIndex())
+		t.Errorf("one-group fleet instance group = %q/%d, want default/0", inst.Group(), inst.GroupIndex())
 	}
 }

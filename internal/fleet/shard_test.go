@@ -44,11 +44,11 @@ type instState struct {
 // join-shortest-queue arrival is a barrier) under a binding budget.
 func runDiffScenario(t *testing.T, machines, instances, workers int, split bool, gen func() *LoadGen, rounds int) diffResult {
 	t.Helper()
-	sup, err := New(Config{
+	sup, err := NewScenario(Scenario{
 		Machines:        machines,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
+		Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+		Interference:    UniformShare{},
 		Budget:          float64(machines) * 190, // binding: full load wants 210 W/host
 		Workers:         workers,
 		SplitDispatch:   split,
@@ -165,11 +165,11 @@ func TestShardedEngineBitIdenticalSaturated(t *testing.T) {
 	assertDiffEqual(t, "saturated-16-host", ref, got, 1, 4)
 
 	run := func(workers int) diffResult {
-		sup, err := New(Config{
+		sup, err := NewScenario(Scenario{
 			Machines:        4,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
+			Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+			Interference:    UniformShare{},
 			Budget:          700,
 			ArbiterInterval: 250 * time.Millisecond,
 			Workers:         workers,
@@ -304,11 +304,11 @@ func TestFaultScenarioBitIdenticalAcrossWorkers(t *testing.T) {
 func TestShardedEngineAutoscaledReplay(t *testing.T) {
 	rates := Fig8Rates(40, 10, 2026)
 	run := func(workers int) *ReplayResult {
-		sup, err := New(Config{
+		sup, err := NewScenario(Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
+			Groups:          defaultGroup(func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }, syntheticProfile(t)),
+			Interference:    UniformShare{},
 			ControlDisabled: true,
 			Workers:         workers,
 		})
